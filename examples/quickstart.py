@@ -28,9 +28,10 @@ except ImportError:  # pragma: no cover - user guidance only
         "phi-repro is not installed; run `pip install -e .` from the repo root"
     )
 
-from repro.baselines import PhiAccelerator, get_baseline
+from repro.baselines import get_baseline
 from repro.core import PhiCalibrator, PhiConfig, operation_counts, sparsity_breakdown
 from repro.datasets import make_dataset
+from repro.hw import PhiSimulator
 from repro.snn import build_model
 from repro.workloads import extract_workload
 
@@ -83,7 +84,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Simulate the Phi accelerator vs the dense baseline.
     # ------------------------------------------------------------------
-    phi = PhiAccelerator(phi_config=config).simulate(workload, calibration=calibration)
+    phi = PhiSimulator(phi_config=config).simulate(workload, calibration=calibration)
     eyeriss = get_baseline("eyeriss").simulate(workload)
     print("\nAccelerator comparison (same workload, same OP definition):")
     print(f"  Spiking Eyeriss : {eyeriss.throughput_gops:8.2f} GOP/s   "

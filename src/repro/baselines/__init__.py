@@ -7,23 +7,15 @@ the sweep engine and the experiment harnesses treat Phi and the
 baselines identically.
 """
 
-from .base import (
-    AcceleratorReport,
-    BaselineAccelerator,
-    BaselineLayerResult,
-    load_imbalance_cycles,
-    paper_operations,
-)
+from .base import BaselineAccelerator, load_imbalance_cycles, paper_operations
 from .eyeriss import SpikingEyeriss
 from .ptb import PTB
 from .registry import (
     BASELINE_CLASSES,
     BASELINE_ORDER,
-    PhiAccelerator,
     available_baselines,
     get_accelerator,
     get_baseline,
-    simulation_to_report,
 )
 from .sato import SATO
 from .spinalflow import SpinalFlow
@@ -31,8 +23,6 @@ from .stellar import Stellar
 
 __all__ = [
     "BaselineAccelerator",
-    "BaselineLayerResult",
-    "AcceleratorReport",
     "paper_operations",
     "load_imbalance_cycles",
     "SpikingEyeriss",
@@ -40,11 +30,9 @@ __all__ = [
     "SATO",
     "SpinalFlow",
     "Stellar",
-    "PhiAccelerator",
     "get_accelerator",
     "get_baseline",
     "available_baselines",
-    "simulation_to_report",
     "BASELINE_CLASSES",
     "BASELINE_ORDER",
 ]

@@ -8,9 +8,9 @@ tile level, and reports cycles, memory traffic and energy.
 Execution model per layer (K-first tiling, Section 4.1), expressed as a
 :class:`~repro.hw.pipeline.Pipeline` of five stages:
 
-* **tiling** — the activation matrix is split into ``tile_m``-row M
-  tiles, ``tile_k`` wide K partitions and ``tile_n`` wide N tiles, and
-  decomposed once into the two-level Phi representation,
+* **tiling** — the activation matrix, decomposed once into the
+  two-level Phi representation, is split into ``tile_m``-row M tiles,
+  ``tile_k`` wide K partitions and ``tile_n`` wide N tiles,
 * **preprocess** — the Preprocessor converts every (M tile, partition)
   into the Level 1 pattern-index column and the packed Level 2
   representation; this work is overlapped with the previous tile's
@@ -27,8 +27,12 @@ Each stage emits a :class:`~repro.hw.pipeline.StageRecord`; the layer
 outcome is the canonical :class:`~repro.hw.pipeline.LayerResult` and a
 model run aggregates into :class:`~repro.hw.pipeline.RunResult` — the
 same schema every baseline accelerator reports through.
-``LayerSimulation`` and ``SimulationResult`` remain as aliases of those
-two classes for existing callers.
+
+Every entry point — :meth:`PhiSimulator.simulate`,
+:meth:`PhiSimulator.simulate_layer` and the sweep engine — runs through
+:func:`simulate_phi_many`, which decomposes each layer, plans its
+preprocessing and packs the jobs of the whole batch in one lockstep pass
+before the stages run.
 """
 
 from __future__ import annotations
@@ -64,18 +68,15 @@ from .preprocessor import (
     pack_counts_batch,
 )
 
-#: Compatibility aliases: the pre-pipeline result classes are the
-#: canonical schema now (see ``repro.hw.pipeline``).
-LayerSimulation = LayerResult
-SimulationResult = RunResult
-
-
 class PhiTilingStage:
-    """Tiling + decomposition: split the layer and decompose it once.
+    """Tiling: lay the M/K/N tile grid over the layer's decomposition.
 
-    Rows decompose independently, so the per-tile views the later stages
-    need are sliced out of this single decomposition instead of being
-    re-matched from scratch.
+    :func:`simulate_phi_many` seeds the layer's decomposition and the
+    metrics derived from it (``decomposition``, ``breakdown``, ``ops``,
+    ``pattern_index_matrix``) into the context scratch.  Rows decompose
+    independently, so the per-tile views the later stages need are
+    sliced out of this single decomposition instead of being re-matched
+    from scratch.
     """
 
     name = "tiling"
@@ -84,45 +85,18 @@ class PhiTilingStage:
         self.simulator = simulator
 
     def run(self, ctx: LayerContext) -> StageRecord:
-        """Decompose the layer and record the tile grid in the context."""
+        """Record the tile grid of the layer in the context."""
         arch = self.simulator.arch
         layer = ctx.layer
-        # A caller that already holds the layer's decomposition (e.g. the
-        # sweep engine's artifact store) seeds it into the context; the
-        # decomposition is a deterministic function of (activations,
-        # patterns, tile_k), so the seeded object is bit-identical to
-        # what this stage would compute.
-        decomposition = ctx.scratch.get("decomposition")
-        if decomposition is None:
-            decomposition = decompose_matrix(
-                layer.activations, ctx.calibration.pattern_sets, arch.tile_k
-            )
         boundaries = partition_boundaries(layer.k, arch.tile_k)
         m_tiles = [
             (m_start, min(m_start + arch.tile_m, layer.m))
             for m_start in range(0, layer.m, arch.tile_m)
         ]
-        # The density/op-count metrics and the pattern-index matrix are
-        # pure functions of the decomposition; a batched caller that
-        # shares one decomposition across many points seeds them so they
-        # are computed once per decomposition instead of once per point.
-        breakdown = ctx.scratch.get("breakdown")
-        if breakdown is None:
-            breakdown = sparsity_breakdown(decomposition)
-        ops = ctx.scratch.get("ops")
-        if ops is None:
-            ops = operation_counts(decomposition)
-        pattern_index_matrix = ctx.scratch.get("pattern_index_matrix")
-        if pattern_index_matrix is None:
-            pattern_index_matrix = decomposition.pattern_index_matrix()
         ctx.scratch.update(
-            decomposition=decomposition,
-            breakdown=breakdown,
-            ops=ops,
             boundaries=boundaries,
             m_tiles=m_tiles,
             num_n_tiles=int(np.ceil(layer.n / arch.tile_n)),
-            pattern_index_matrix=pattern_index_matrix,
         )
         return StageRecord(
             name=self.name,
@@ -142,9 +116,9 @@ class PreprocessPlan:
     (M tile, partition) pair — M-tile-major, partition-minor, the exact
     iteration order of :class:`PhiPreprocessStage` — plus the per-
     partition pattern counts the matcher-comparison counter needs.
-    Planning is separated from execution so a batched caller
-    (:func:`simulate_phi_many`) can pack the jobs of many layers and
-    many configurations in a single lockstep pass.
+    Planning is separated from execution so :func:`simulate_phi_many`
+    can pack the jobs of many layers and many configurations in a
+    single lockstep pass.
     """
 
     m_tiles: list[tuple[int, int]]
@@ -205,11 +179,12 @@ class PhiPreprocessStage:
 
     The preprocessor overlaps with the previous tile's compute, so its
     cycles are recorded (they burn energy) but never enter the layer's
-    critical path.  All of a layer's (M tile, partition) pack machines
-    are independent, so they run as one batched lockstep pass
-    (:func:`~repro.hw.preprocessor.pack_counts_batch`); a cross-point
-    caller seeds an even wider batch via ``preprocess_plan`` /
-    ``preprocess_packed`` in the context scratch.
+    critical path.  The (M tile, partition) pack machines of every layer
+    in the batch are independent, so :func:`simulate_phi_many` packs
+    them in one lockstep pass
+    (:func:`~repro.hw.preprocessor.pack_counts_batch`) and seeds this
+    layer's plan and slice as ``preprocess_plan`` / ``preprocess_packed``
+    in the context scratch.
     """
 
     name = "preprocess"
@@ -219,16 +194,8 @@ class PhiPreprocessStage:
 
     def run(self, ctx: LayerContext) -> StageRecord:
         """Produce the per-M-tile pack counts and preprocessing counters."""
-        sim = self.simulator
-        plan = ctx.scratch.pop("preprocess_plan", None)
-        packed = ctx.scratch.pop("preprocess_packed", None)
-        if plan is None:
-            plan = plan_preprocess(
-                sim.arch, ctx.calibration, ctx.scratch["decomposition"], ctx.layer
-            )
-        if packed is None:
-            packer = sim.preprocessor.packer
-            packed = pack_counts_batch([(packer, c) for c in plan.compressed])
+        plan = ctx.scratch.pop("preprocess_plan")
+        packed = ctx.scratch.pop("preprocess_packed")
 
         packs_per_tile: list[PackCounts] = []
         preproc_cycles = 0.0
@@ -510,10 +477,19 @@ class PhiSimulator(AcceleratorModel):
     def _calibration_for(
         self, layer: LayerWorkload, calibration: ModelCalibration | None
     ) -> LayerCalibration:
+        """The layer's calibration (self-calibrated when absent), width-checked."""
         if calibration is not None and layer.name in calibration:
-            return calibration[layer.name]
-        calibrator = PhiCalibrator(self.phi_config)
-        return calibrator.calibrate_layer(layer.name, layer.activations)
+            layer_calibration = calibration[layer.name]
+        else:
+            layer_calibration = PhiCalibrator(self.phi_config).calibrate_layer(
+                layer.name, layer.activations
+            )
+        if layer_calibration.total_width != layer.k:
+            raise ValueError(
+                f"calibration width {layer_calibration.total_width} does not match "
+                f"layer K={layer.k}"
+            )
+        return layer_calibration
 
     def simulate_layer(
         self,
@@ -524,6 +500,8 @@ class PhiSimulator(AcceleratorModel):
     ) -> LayerResult:
         """Simulate one spike GEMM on the Phi accelerator.
 
+        The layer runs as a batch of one through :func:`simulate_phi_many`.
+
         Parameters
         ----------
         layer:
@@ -533,39 +511,20 @@ class PhiSimulator(AcceleratorModel):
         decomposition:
             Optional precomputed
             :class:`~repro.core.sparsity.MatrixDecomposition` of the
-            layer under ``layer_calibration`` and ``arch.tile_k`` — the
-            tiling stage then skips the (deterministic) re-decomposition.
+            layer under ``layer_calibration`` and ``arch.tile_k``, used
+            instead of the (deterministic) re-decomposition.
         """
-        if layer_calibration is None:
-            layer_calibration = self._calibration_for(layer, None)
-        ctx = self._layer_context(layer, layer_calibration, decomposition)
-        return self.pipeline.run_layer(ctx)
-
-    def _layer_context(
-        self,
-        layer: LayerWorkload,
-        layer_calibration: LayerCalibration,
-        decomposition,
-    ) -> LayerContext:
-        """Validated :class:`LayerContext` for one layer simulation."""
-        if layer_calibration.total_width != layer.k:
-            raise ValueError(
-                f"calibration width {layer_calibration.total_width} does not match "
-                f"layer K={layer.k}"
+        workload = ModelWorkload(model_name="", dataset_name="", layers=[layer])
+        calibration = None
+        if layer_calibration is not None:
+            calibration = ModelCalibration(
+                self.phi_config, {layer.name: layer_calibration}
             )
-        ctx = LayerContext(layer=layer, calibration=layer_calibration)
+        decompositions = None
         if decomposition is not None:
-            if (
-                decomposition.num_rows != layer.m
-                or decomposition.total_width != layer.k
-            ):
-                raise ValueError(
-                    f"decomposition shape ({decomposition.num_rows}, "
-                    f"{decomposition.total_width}) does not match layer "
-                    f"({layer.m}, {layer.k})"
-                )
-            ctx.scratch["decomposition"] = decomposition
-        return ctx
+            decompositions = {layer.name: decomposition}
+        task = (self, workload, calibration, decompositions)
+        return simulate_phi_many([task])[0].layers[0]
 
     def _layer_energy(self, sim: LayerResult) -> EnergyBreakdown:
         """Energy of one simulated layer from its activity counters."""
@@ -596,7 +555,7 @@ class PhiSimulator(AcceleratorModel):
         )
 
     # ------------------------------------------------------------------ #
-    def run(
+    def simulate(
         self,
         workload: ModelWorkload,
         *,
@@ -604,6 +563,9 @@ class PhiSimulator(AcceleratorModel):
         decompositions=None,
     ) -> RunResult:
         """Simulate every layer of a model workload.
+
+        The workload runs as a batch of one through
+        :func:`simulate_phi_many`.
 
         Parameters
         ----------
@@ -619,74 +581,8 @@ class PhiSimulator(AcceleratorModel):
             :class:`~repro.core.sparsity.MatrixDecomposition`; layers not
             in the mapping decompose as usual.
         """
-        result = RunResult(
-            accelerator=self.name,
-            model_name=workload.model_name,
-            dataset_name=workload.dataset_name,
-            area_mm2=self.area_mm2,
-            config=self.arch,
-        )
-        decompositions = decompositions or {}
-        for layer in workload:
-            layer_calibration = self._calibration_for(layer, calibration)
-            result.layers.append(
-                self.simulate_layer(
-                    layer,
-                    layer_calibration=layer_calibration,
-                    decomposition=decompositions.get(layer.name),
-                )
-            )
-        return result
-
-    def simulate(
-        self,
-        workload: ModelWorkload,
-        *,
-        calibration: ModelCalibration | None = None,
-        decompositions=None,
-    ) -> RunResult:
-        """Alias of :meth:`run` satisfying the :class:`AcceleratorModel` API."""
-        return self.run(
-            workload, calibration=calibration, decompositions=decompositions
-        )
-
-    def simulate_many(
-        self,
-        workloads: Sequence[ModelWorkload],
-        *,
-        calibrations: Sequence[ModelCalibration | None] | None = None,
-        decompositions: Sequence[Mapping | None] | None = None,
-        **kwargs,
-    ) -> list[RunResult]:
-        """Batched :meth:`simulate`: one stacked pass over many workloads.
-
-        Overrides the :class:`~repro.hw.pipeline.AcceleratorModel`
-        default loop: the compress/pack machines of *every* layer of
-        *every* workload are advanced in one NumPy lockstep batch (see
-        :func:`simulate_phi_many`), with per-workload results sliced
-        back out bit-identically to sequential :meth:`simulate` calls.
-
-        Parameters
-        ----------
-        workloads:
-            The workloads to simulate under this configuration.
-        calibrations, decompositions:
-            Optional per-workload counterparts of the :meth:`run`
-            keyword arguments (``None`` entries self-calibrate /
-            self-decompose exactly as :meth:`run` would).
-        """
-        if calibrations is None:
-            calibrations = [None] * len(workloads)
-        if decompositions is None:
-            decompositions = [None] * len(workloads)
-        return simulate_phi_many(
-            [
-                (self, workload, calibration, decomposition)
-                for workload, calibration, decomposition in zip(
-                    workloads, calibrations, decompositions
-                )
-            ]
-        )
+        task = (self, workload, calibration, decompositions)
+        return simulate_phi_many([task])[0]
 
 
 def simulate_phi_many(
@@ -701,15 +597,14 @@ def simulate_phi_many(
 ) -> list[RunResult]:
     """Simulate many (simulator, workload) tasks as one stacked batch.
 
-    This is the cross-point batched execution path of the sweep engine:
-    the preprocessing jobs of every layer of every task — potentially
-    under *different* Phi/arch configurations — are planned first, packed
-    in a single lockstep batch (:func:`~repro.hw.preprocessor.
+    This is the one execution path of the Phi simulator: the
+    preprocessing jobs of every layer of every task — potentially under
+    *different* Phi/arch configurations — are planned first, packed in a
+    single lockstep batch (:func:`~repro.hw.preprocessor.
     pack_counts_batch`), and the per-task pipelines then consume their
-    slice of the batch.  Results are bit-identical to calling
-    :meth:`PhiSimulator.run` per task, because every per-layer quantity
-    is computed by the same (deterministic) code on the same inputs —
-    only the loop structure changes (property-tested).
+    slice of the batch.  Results do not depend on how tasks are grouped
+    into batches: every per-layer quantity is computed by the same
+    (deterministic) code on the same inputs (property-tested).
 
     Work shared across tasks is computed once per distinct input rather
     than once per task: layer decompositions (keyed by activation matrix,
@@ -720,7 +615,7 @@ def simulate_phi_many(
     ----------
     tasks:
         ``(simulator, workload, calibration, decompositions)`` tuples —
-        the last two may be ``None``, matching :meth:`PhiSimulator.run`.
+        the last two may be ``None``, matching :meth:`PhiSimulator.simulate`.
 
     Returns
     -------
@@ -762,7 +657,15 @@ def simulate_phi_many(
                         simulator.arch.tile_k,
                     )
                     decomposition_memo[memo_key] = decomposition
-            ctx = simulator._layer_context(layer, layer_calibration, decomposition)
+            elif (
+                decomposition.num_rows != layer.m
+                or decomposition.total_width != layer.k
+            ):
+                raise ValueError(
+                    f"decomposition shape ({decomposition.num_rows}, "
+                    f"{decomposition.total_width}) does not match layer "
+                    f"({layer.m}, {layer.k})"
+                )
             metrics = metrics_memo.get(id(decomposition))
             if metrics is None:
                 metrics = (
@@ -771,13 +674,20 @@ def simulate_phi_many(
                     decomposition.pattern_index_matrix(),
                 )
                 metrics_memo[id(decomposition)] = metrics
-            ctx.scratch["breakdown"] = metrics[0]
-            ctx.scratch["ops"] = metrics[1]
-            ctx.scratch["pattern_index_matrix"] = metrics[2]
             plan = plan_preprocess(
                 simulator.arch, layer_calibration, decomposition, layer
             )
-            ctx.scratch["preprocess_plan"] = plan
+            ctx = LayerContext(
+                layer=layer,
+                calibration=layer_calibration,
+                scratch={
+                    "decomposition": decomposition,
+                    "breakdown": metrics[0],
+                    "ops": metrics[1],
+                    "pattern_index_matrix": metrics[2],
+                    "preprocess_plan": plan,
+                },
+            )
             start = len(jobs)
             packer = simulator.preprocessor.packer
             jobs.extend((packer, compressed) for compressed in plan.compressed)

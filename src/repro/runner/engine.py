@@ -59,9 +59,7 @@ from .store import (
     KIND_TRACE,
     KIND_WORKLOAD,
     ArtifactStore,
-    DecompositionArtifact,
 )
-from .shm import SharedArtifacts, attach_and_prime
 
 #: Bump on ANY change that affects cached records — the record layout OR
 #: result-affecting simulator/calibration behaviour.  The package version
@@ -219,7 +217,7 @@ class WorkloadSpec:
 
         ``temporal`` and ``trace`` are emitted only when set: specs that
         predate them serialise exactly as before, so their cache/store
-        keys (and the store's v2-compat probes) stay byte-identical.
+        keys stay byte-identical.
         """
         data = {
             "model": self.model,
@@ -526,24 +524,18 @@ def _stored_decompositions(
     bit-exact and much cheaper than re-matching.
     """
     store = _current_store()
-    if store is None:
-        return {
-            layer.name: calibration[layer.name].decompose(layer.activations)
-            for layer in workload
-            if layer.name in calibration
-        }
-    key, found = store.lookup(KIND_DECOMPOSITION, _artifact_payload(spec, config))
-    if found is None:
-        decompositions = {
-            layer.name: calibration[layer.name].decompose(layer.activations)
-            for layer in workload
-            if layer.name in calibration
-        }
+    if store is not None:
+        key, found = store.lookup(KIND_DECOMPOSITION, _artifact_payload(spec, config))
+        if found is not None:
+            return found.rebuild(workload, calibration)
+    decompositions = {
+        layer.name: calibration[layer.name].decompose(layer.activations)
+        for layer in workload
+        if layer.name in calibration
+    }
+    if store is not None:
         store.put(KIND_DECOMPOSITION, key, decompositions)
-        return decompositions
-    if isinstance(found, DecompositionArtifact):
-        return found.rebuild(workload, calibration)
-    return found
+    return decompositions
 
 
 def _seed_workload(spec: WorkloadSpec) -> None:
@@ -719,11 +711,6 @@ def summarize_run(result: RunResult) -> dict:
     return record
 
 
-def summarize_simulation(result: RunResult) -> dict:
-    """Deprecated alias of :func:`summarize_run` (pre-v3 name)."""
-    return summarize_run(result)
-
-
 def model_for(point: SweepPoint) -> AcceleratorModel:
     """Construct the accelerator model that executes one sweep point.
 
@@ -735,34 +722,6 @@ def model_for(point: SweepPoint) -> AcceleratorModel:
         energy_model = PhiEnergyModel(point.arch, buffer_scale=point.buffer_scale)
         return PhiSimulator(point.arch, point.phi, energy_model=energy_model)
     return get_accelerator(point.accelerator, point.arch)
-
-
-def _model_record(point: SweepPoint) -> dict:
-    # _resolve_workload honours a PAFT spec for every accelerator (it
-    # needs point.phi for the alignment calibration); a plain spec
-    # resolves to the base workload.
-    workload = _resolve_workload(point)
-    model = model_for(point)
-    if isinstance(model, PhiSimulator):
-        # For a plain spec this matches the simulator's per-layer
-        # self-calibration exactly while letting every point on the same
-        # workload share one calibration.  For a PAFT spec the paper
-        # fine-tunes, then re-calibrates on the tuned network: the
-        # calibration is computed on the *aligned* workload (keyed by the
-        # full spec), which is layer-for-layer identical to letting the
-        # simulator self-calibrate — but shareable.
-        calibration = _stored_calibration(point.workload, point.phi, workload)
-        decompositions = None
-        if _current_store() is not None:
-            decompositions = _stored_decompositions(
-                point.workload, point.phi, workload, calibration
-            )
-        result = model.simulate(
-            workload, calibration=calibration, decompositions=decompositions
-        )
-    else:
-        result = model.simulate(workload)
-    return summarize_run(result)
 
 
 def _decomposition_record(point: SweepPoint) -> dict:
@@ -792,17 +751,20 @@ def _decomposition_record(point: SweepPoint) -> dict:
 def simulate_point(point: SweepPoint) -> dict:
     """Execute one sweep point from scratch and return its record.
 
-    This is the unit of work the engine dispatches to workers (and the
-    seam tests monkeypatch to observe or stub simulator invocations).
+    This is the seam tests monkeypatch to observe or stub simulator
+    invocations.  A phi point runs as a batch of one through
+    :func:`_simulate_phi_batch`, the path :func:`simulate_many` stacks.
     """
+    if point.accelerator == "phi":
+        return _simulate_phi_batch([point])[0]
     if point.accelerator == DECOMPOSITION:
         record = _decomposition_record(point)
     else:
-        record = _model_record(point)
-    record["accelerator"] = point.accelerator
-    record["model"] = point.workload.model
-    record["dataset"] = point.workload.dataset
-    return record
+        # _resolve_workload honours a PAFT spec for every accelerator (it
+        # needs point.phi for the alignment calibration); a plain spec
+        # resolves to the base workload.
+        record = summarize_run(model_for(point).simulate(_resolve_workload(point)))
+    return _finalize_record(point, record)
 
 
 #: The unpatched :func:`simulate_point`, for detecting a stubbed seam.
@@ -825,7 +787,7 @@ def _simulate_phi_batch(points: Sequence[SweepPoint]) -> list[dict]:
     sweep rebuilds it once instead of once per point), then hands the
     whole batch to :func:`repro.hw.simulator.simulate_phi_many`, which
     packs every layer of every point in one lockstep pass.  Records are
-    bit-identical to per-point :func:`simulate_point` calls.
+    bit-identical whatever the batch composition.
     """
     from ..hw.simulator import simulate_phi_many
 
@@ -834,6 +796,13 @@ def _simulate_phi_batch(points: Sequence[SweepPoint]) -> list[dict]:
     for point in points:
         workload = _resolve_workload(point)
         model = model_for(point)
+        # For a plain spec this matches the simulator's per-layer
+        # self-calibration exactly while letting every point on the same
+        # workload share one calibration.  For a PAFT spec the paper
+        # fine-tunes, then re-calibrates on the tuned network: the
+        # calibration is computed on the *aligned* workload (keyed by the
+        # full spec), which is layer-for-layer identical to letting the
+        # simulator self-calibrate — but shareable.
         calibration = _stored_calibration(point.workload, point.phi, workload)
         decompositions = None
         if _current_store() is not None:
@@ -894,21 +863,6 @@ def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
         for i, record in zip(phi_batch, batch_records):
             records[i] = record
     return records  # type: ignore[return-value]
-
-
-def _simulate_with_shared(
-    points: Sequence[SweepPoint], manifest: list
-) -> list[dict]:
-    """Pool task: prime shared-memory artifacts, then run the batch.
-
-    ``manifest`` names segments the parent exported after the unit's
-    representative stored its calibration/decomposition; attaching maps
-    the arrays zero-copy into this worker, so :func:`simulate_many`
-    serves them from the store memo without a disk read.  Attach
-    failures degrade to the plain disk path.
-    """
-    attach_and_prime(_current_store(), manifest)
-    return simulate_many(points)
 
 
 # --------------------------------------------------------------------- #
@@ -1126,9 +1080,6 @@ class SweepEngine:
         self.stats = SweepStats()
         self._warned_cache_unwritable = False
         self._pool: ProcessPoolExecutor | None = None
-        # Parent-side shared-memory segments for follower dispatch; all
-        # unlinked in close().
-        self._shared = SharedArtifacts()
         # run() is re-entrant across threads (the job service dispatches
         # concurrent jobs onto one engine): the lock guards stats, pool
         # lifecycle and the in-flight table; the table guarantees a point
@@ -1165,12 +1116,11 @@ class SweepEngine:
             self._ensure_pool()
 
     def close(self) -> None:
-        """Shut down the warm worker pool and shared memory (idempotent)."""
+        """Shut down the warm worker pool (idempotent)."""
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        self._shared.close()
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -1385,11 +1335,8 @@ class SweepEngine:
             self._seed_workloads(points, pending)
         pool = self._ensure_pool()
 
-        def submit(key: str, manifest: list | None = None):
-            batch = [points[pending[key][0]]]
-            if manifest:
-                return pool.submit(_simulate_with_shared, batch, manifest)
-            return pool.submit(simulate_many, batch)
+        def submit(key: str):
+            return pool.submit(simulate_many, [points[pending[key][0]]])
 
         # Wave 1: one representative per unit.  Followers are held back
         # until the representative has stored the unit's artifacts.
@@ -1418,16 +1365,13 @@ class SweepEngine:
                 for future in finished:
                     key, followers = futures.pop(future)
                     settle(key, future.result()[0])
-                    if followers:
-                        # The representative has stored the unit's
-                        # calibration/decomposition; hand them to the
-                        # followers over shared memory (zero-copy, no
-                        # re-pickling) when possible.
-                        manifest = self._export_unit(points[pending[key][0]])
-                        for follower in followers:
-                            follow_up = submit(follower, manifest)
-                            futures[follow_up] = (follower, [])
-                            remaining.add(follow_up)
+                    # The representative has stored the unit's
+                    # calibration/decomposition; the followers map them
+                    # from the store.
+                    for follower in followers:
+                        follow_up = submit(follower)
+                        futures[follow_up] = (follower, [])
+                        remaining.add(follow_up)
         except BaseException:
             # A failed or interrupted run must not leave its own queued
             # tasks running — but the pool is shared with concurrent
@@ -1436,25 +1380,6 @@ class SweepEngine:
             for future in remaining:
                 future.cancel()
             raise
-
-    def _export_unit(self, point: SweepPoint) -> list:
-        """Shared-memory manifest for ``point``'s unit artifacts.
-
-        Exports the unit's calibration and decomposition payloads (one
-        segment each, deduplicated across waves by store key) straight
-        from their on-disk container bytes.  Artifacts that never hit
-        the disk — unwritable store, representative failure — are simply
-        absent from the manifest and followers fall back to recompute.
-        """
-        if self.store is None or point.phi is None:
-            return []
-        payload = _artifact_payload(point.workload, point.phi)
-        manifest = []
-        for kind in (KIND_CALIBRATION, KIND_DECOMPOSITION):
-            entry = self._shared.export(self.store, kind, self.store.key(kind, payload))
-            if entry is not None:
-                manifest.append(entry)
-        return manifest
 
     def _seed_workloads(
         self, points: list[SweepPoint], pending: dict[str, list[int]]

@@ -22,9 +22,9 @@ small JSON directory followed by each payload array's raw bytes at
 64-byte-aligned offsets (see :func:`pack_arrays`).  Reads go through
 ``np.load(path, mmap_mode="r")``, so loading an artifact maps the file
 once and slices every array out as a *read-only, zero-copy view* — no
-decompression, no per-array header parsing, no heap copies.  The same
-container doubles as the wire format for the engine's shared-memory
-worker handoff (see :mod:`repro.runner.shm`).
+decompression, no per-array header parsing, no heap copies.  Pool
+workers map the same files, so the page cache shares one copy of every
+artifact between processes.
 
 Array payloads round-trip bit-exactly through the container, so a loaded
 artifact is indistinguishable from a freshly computed one; the golden
@@ -56,13 +56,10 @@ from .cache import cache_key
 #: releases invalidate the store even when this stays constant.
 #: v2: mmap-friendly single-``.npy`` container replaced the ``.npz``
 #: archive.
-#: v3: imported-trace artifacts (``KIND_TRACE``) joined the store.
+#: v3: imported-trace artifacts (``KIND_TRACE``) joined the store.  Keys
+#: of other schema versions are never probed: a derived artifact written
+#: under one is simply recomputed.
 STORE_SCHEMA_VERSION = 3
-
-#: Older schema versions whose artifacts are still readable: the v2
-#: container layout and codecs are unchanged in v3, so ``lookup`` probes
-#: these keys on a miss and migrates hits forward under the current key.
-COMPAT_STORE_SCHEMA_VERSIONS = (2,)
 
 #: Artifact kinds the store recognises (part of every key payload).
 KIND_WORKLOAD = "workload"
@@ -90,13 +87,12 @@ def default_store_dir() -> pathlib.Path:
 # The zero-copy array container
 # --------------------------------------------------------------------- #
 #: Leading bytes of every container payload; a mismatch means the file
-#: (or shared-memory segment) does not hold a v2 artifact.
+#: does not hold a container artifact.
 CONTAINER_MAGIC = b"PHIART02"
 
 #: Alignment of every array block inside the container.  The ``.npy``
-#: format itself aligns its data section to 64 bytes and shared-memory
-#: segments are page-aligned, so block offsets that are multiples of 64
-#: guarantee naturally aligned typed views.
+#: format itself aligns its data section to 64 bytes, so block offsets
+#: that are multiples of 64 guarantee naturally aligned typed views.
 _ALIGN = 64
 
 
@@ -176,14 +172,18 @@ def unpack_arrays(payload: np.ndarray) -> dict[str, np.ndarray]:
     """Zero-copy views of every array in a container ``payload``.
 
     ``payload`` is the container as a 1-D ``uint8`` array — typically a
-    read-only memmap from ``np.load(..., mmap_mode="r")`` or a view of a
-    shared-memory buffer.  The returned arrays alias the payload's
+    read-only memmap from ``np.load(..., mmap_mode="r")``.  The returned
+    arrays alias the payload's
     storage (no copies); they inherit its writability, so memmap-backed
     artifacts are naturally read-only.
 
     Raises ``ValueError`` on any malformed container.
     """
-    if payload.ndim != 1 or payload.dtype != np.uint8:
+    if (
+        not isinstance(payload, np.ndarray)
+        or payload.ndim != 1
+        or payload.dtype != np.uint8
+    ):
         raise ValueError("container payload must be a 1-D uint8 array")
     head = len(CONTAINER_MAGIC)
     if payload[:head].tobytes() != CONTAINER_MAGIC:
@@ -280,24 +280,17 @@ def _decode_calibration(arrays: Mapping[str, np.ndarray]) -> ModelCalibration:
 
 
 def _encode_decompositions(
-    decompositions: "Mapping[str, MatrixDecomposition] | DecompositionArtifact",
+    decompositions: Mapping[str, MatrixDecomposition],
 ) -> dict[str, np.ndarray]:
     # Only the per-row pattern assignments are stored: the Level 2 matrix
     # and the original tiles are deterministic functions of (activations,
     # patterns, assignments) and are rebuilt bit-exactly on load by
     # :func:`repro.core.sparsity.rebuild_decomposition`.
-    if isinstance(decompositions, DecompositionArtifact):
-        items = list(decompositions.assignments.items())
-    else:
-        items = [
-            (name, decomposition.pattern_index_matrix())
-            for name, decomposition in decompositions.items()
-        ]
     layers = []
     arrays: dict[str, np.ndarray] = {}
-    for i, (name, matrix) in enumerate(items):
+    for i, (name, decomposition) in enumerate(decompositions.items()):
         layers.append({"name": name})
-        arrays[f"i{i}"] = matrix
+        arrays[f"i{i}"] = decomposition.pattern_index_matrix()
     arrays["meta"] = np.frombuffer(
         json.dumps({"layers": layers}).encode("utf-8"), dtype=np.uint8
     )
@@ -347,15 +340,6 @@ _CODECS: dict[str, tuple[Callable, Callable]] = {
     # container layout but is addressed by user-chosen name.
     KIND_TRACE: (_encode_workload, _decode_workload),
 }
-
-
-def decode_artifact(kind: str, arrays: Mapping[str, np.ndarray]) -> Any:
-    """Decode a container's arrays into an artifact of ``kind``.
-
-    Shared with :mod:`repro.runner.shm`, whose segments carry the same
-    container payload as the on-disk files.
-    """
-    return _CODECS[kind][1](arrays)
 
 
 def _artifact_nbytes(artifact: Any) -> int:
@@ -449,17 +433,13 @@ class ArtifactStore:
             return self._memo.get(key)
 
     # ------------------------------------------------------------------ #
-    def key(
-        self, kind: str, payload: Mapping[str, Any], *, schema: int | None = None
-    ) -> str:
+    def key(self, kind: str, payload: Mapping[str, Any]) -> str:
         """Content hash for an artifact of ``kind`` derived from ``payload``.
 
         The payload must contain every input the artifact's computation
         depends on (the engine passes the workload-spec and Phi-config
         dicts); kind, store schema version and package version are mixed
-        in here.  ``schema`` overrides the store schema version hashed
-        into the key — used by :meth:`lookup` to probe the keys older
-        releases would have written.
+        in here.
 
         Trace artifacts are *imported* data, not a derived computation,
         so their keys deliberately omit the package version: a recorded
@@ -472,7 +452,7 @@ class ArtifactStore:
         return cache_key(
             {
                 "kind": kind,
-                "store_schema": STORE_SCHEMA_VERSION if schema is None else schema,
+                "store_schema": STORE_SCHEMA_VERSION,
                 "code_version": None if kind == KIND_TRACE else __version__,
                 "payload": dict(payload),
             }
@@ -483,31 +463,13 @@ class ArtifactStore:
         return self.key(KIND_TRACE, {"trace": str(name)})
 
     def lookup(self, kind: str, payload: Mapping[str, Any]) -> tuple[str, Any | None]:
-        """Current key plus the stored artifact, probing compat schemas.
+        """The key for ``payload`` plus the stored artifact (``None`` on miss).
 
-        Returns ``(key, artifact)`` where ``key`` is always the
-        *current*-schema key.  On a primary miss the keys of every
-        schema version in :data:`COMPAT_STORE_SCHEMA_VERSIONS` are
-        probed (the container layout is unchanged since v2); a compat
-        hit is re-persisted under the current key so the migration
-        happens once.  Trace artifacts skip the probe — the kind did
-        not exist before v3.
+        Callers that miss compute the artifact and ``put`` it under the
+        returned key.
         """
-        current = self.key(kind, payload)
-        artifact = self.get(kind, current)
-        if artifact is not None or kind == KIND_TRACE:
-            return current, artifact
-        for schema in COMPAT_STORE_SCHEMA_VERSIONS:
-            compat = self.key(kind, payload, schema=schema)
-            # ``contains`` first: a cold probe should not inflate the
-            # miss counter once per legacy schema version.
-            if not self.contains(compat):
-                continue
-            artifact = self.get(kind, compat)
-            if artifact is not None:
-                self.put(kind, current, artifact)
-                return current, artifact
-        return current, None
+        key = self.key(kind, payload)
+        return key, self.get(kind, key)
 
     def path_for(self, key: str) -> pathlib.Path:
         """File that stores (or would store) the artifact for ``key``."""
@@ -517,25 +479,6 @@ class ArtifactStore:
     def _count(self, field: str) -> None:
         with self._memo_lock:
             setattr(self, field, getattr(self, field) + 1)
-
-    def load_payload(self, key: str) -> np.ndarray | None:
-        """The raw container payload for ``key`` as a read-only memmap.
-
-        ``None`` on miss or corruption.  Used by the shared-memory
-        exporter, which copies the payload bytes into a segment without
-        ever decoding them.
-        """
-        try:
-            payload = np.load(self.path_for(key), mmap_mode="r")
-        except (OSError, ValueError, EOFError):
-            return None
-        if (
-            not isinstance(payload, np.ndarray)
-            or payload.ndim != 1
-            or payload.dtype != np.uint8
-        ):
-            return None
-        return payload
 
     def get(self, kind: str, key: str) -> Any | None:
         """The stored artifact for ``key``, or ``None`` on miss.
@@ -548,34 +491,16 @@ class ArtifactStore:
         if memoised is not None:
             self._count("hits")
             return memoised
-        payload = self.load_payload(key)
-        if payload is not None:
-            try:
-                artifact = _CODECS[kind][1](unpack_arrays(payload))
-            except (ValueError, KeyError, json.JSONDecodeError):
-                payload = None
-            else:
-                self._count("hits")
-                self._memoise(key, artifact)
-                return artifact
-        self._count("misses")
-        return None
-
-    def prime(self, key: str, artifact: Any) -> None:
-        """Install ``artifact`` in the in-process memo without touching disk.
-
-        Used by pool workers that received the artifact over shared
-        memory: later ``get`` calls for ``key`` hit the memo, so the
-        worker never re-reads or re-derives it.  Decomposition mappings
-        are primed in their slim assignment-only form, mirroring ``put``.
-        """
-        if key in self._memo:
-            return
-        if isinstance(artifact, Mapping) and artifact and not isinstance(
-            artifact, (ModelWorkload, ModelCalibration, DecompositionArtifact)
-        ):
-            artifact = _decode_decompositions(_encode_decompositions(artifact))
+        try:
+            artifact = _CODECS[kind][1](
+                unpack_arrays(np.load(self.path_for(key), mmap_mode="r"))
+            )
+        except (OSError, ValueError, EOFError, KeyError):
+            self._count("misses")
+            return None
+        self._count("hits")
         self._memoise(key, artifact)
+        return artifact
 
     def put(self, kind: str, key: str, artifact: Any) -> None:
         """Atomically persist ``artifact`` under ``key`` (and memoise it).

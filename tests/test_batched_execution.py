@@ -1,27 +1,30 @@
-"""Batched cross-point execution and the shared-memory handoff path.
+"""Batched execution: one simulator path, stacked across points and layers.
 
-Property tests pin the tentpole's bit-exactness contract: the stacked
-cross-point :func:`repro.runner.engine.simulate_many` path and the
-vectorized L2 pack accounting must be *byte-identical* to the
-per-point / per-tile reference paths they replace.  Functional tests
-exercise the ``--jobs 4`` shared-memory handoff end to end — records
-equal to a serial run, every segment unlinked at engine shutdown — and
-the graceful-degradation contracts of :mod:`repro.runner.shm`.
+Property tests pin the bit-exactness contract of the batched paths: the
+stacked cross-point :func:`repro.runner.engine.simulate_many`, the
+lockstep :func:`repro.hw.simulator.simulate_phi_many` and the vectorized
+L2 pack accounting must give the same results however the work is
+grouped into batches.  A functional test runs a ``--jobs 4`` sweep whose
+followers read the representative's artifacts from the store and checks
+its records against a serial run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import os
-import pathlib
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PhiCalibrator, PhiConfig
 from repro.experiments.common import TINY
+from repro.hw import PhiSimulator
+from repro.hw import simulator as simulator_module
 from repro.hw.config import ArchConfig
 from repro.hw.l2_processor import L2Processor
+from repro.hw.pipeline import RunResult
 from repro.hw.preprocessor import PackCounts
 from repro.runner import (
     ArtifactStore,
@@ -31,8 +34,7 @@ from repro.runner import (
     WorkloadSpec,
 )
 from repro.runner import engine as engine_module
-from repro.runner.shm import SharedArtifacts, attach_and_prime, live_segments
-from repro.runner.store import KIND_CALIBRATION, KIND_DECOMPOSITION
+from repro.workloads.workload import LayerWorkload, ModelWorkload
 
 
 # --------------------------------------------------------------------- #
@@ -111,7 +113,144 @@ def test_stacked_simulate_many_is_byte_identical_to_per_point(grid):
 
 
 # --------------------------------------------------------------------- #
-# Shared-memory handoff (--jobs 4)
+# One simulate_phi_many batch == batches of one == simulate_layer
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def fuzz_workloads(draw):
+    """A workload of one or two layers over adversarial shapes.
+
+    M and K straddle the tile sizes (a single row, a ragged last tile, a
+    K narrower than one partition) and densities run from all-zero to
+    all-one.
+    """
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    workload = ModelWorkload(model_name=f"fuzz{seed}", dataset_name="random")
+    for i in range(draw(st.integers(1, 2))):
+        m = draw(st.sampled_from([1, 3, 17, 130]))
+        k = draw(st.sampled_from([1, 5, 16, 33]))
+        density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.7, 1.0]))
+        workload.add(
+            LayerWorkload(
+                name=f"layer{i}",
+                activations=(rng.random((m, k)) < density).astype(np.uint8),
+                weights=rng.standard_normal((k, draw(st.sampled_from([1, 8, 40])))),
+            )
+        )
+    return workload
+
+
+#: Knobs that shape the tiles, decomposition and packer jobs of a layer.
+TILING_KNOBS = {
+    "tile_m": st.sampled_from([4, 64, 256]),
+    "tile_k": st.sampled_from([4, 8, 16]),
+    "tile_n": st.sampled_from([8, 32]),
+    "num_patterns": st.integers(1, 16),
+}
+
+#: Knobs of the packer machine that runs those jobs.
+PACKER_KNOBS = {
+    "pack_size": st.sampled_from([4, 8]),
+    "packer_windows": st.sampled_from([1, 2]),
+}
+
+
+def _simulator(knobs: dict) -> PhiSimulator:
+    arch = ArchConfig(**knobs)
+    config = PhiConfig(
+        partition_size=arch.tile_k,
+        num_patterns=arch.num_patterns,
+        calibration_samples=256,
+    )
+    return PhiSimulator(arch, config)
+
+
+@st.composite
+def phi_batches(draw):
+    """Mixed-configuration tasks, sweep-like: shared workloads, nearby configs.
+
+    Like a sweep, every task runs one of one or two workloads under a base
+    tiling with at most one tiling knob changed, and each task draws its
+    own packer.  That is what makes identical packer jobs meet under
+    different machines in one batch.  Half the tasks pass an explicit
+    calibration, the other half make the simulator calibrate each layer
+    itself.
+    """
+    workloads = draw(st.lists(fuzz_workloads(), min_size=1, max_size=2))
+    base = draw(st.fixed_dictionaries(TILING_KNOBS))
+    tasks = []
+    for _ in range(draw(st.integers(1, 4))):
+        knobs = {**base, **draw(st.fixed_dictionaries(PACKER_KNOBS))}
+        varied = draw(st.sampled_from([None, *TILING_KNOBS]))
+        if varied is not None:
+            knobs[varied] = draw(TILING_KNOBS[varied])
+        simulator = _simulator(knobs)
+        workload = draw(st.sampled_from(workloads))
+        calibration = None
+        if draw(st.booleans()):
+            calibration = PhiCalibrator(simulator.phi_config).calibrate_model(
+                workload.activation_matrices()
+            )
+        tasks.append((simulator, workload, calibration))
+    return tasks
+
+
+def _all_ones_task():
+    """A layer whose every activation bit is 1, under the default tiling."""
+    workload = ModelWorkload(model_name="ones", dataset_name="random")
+    workload.add(
+        LayerWorkload(
+            name="ones",
+            activations=np.ones((40, 48), dtype=np.uint8),
+            weights=np.ones((48, 8)),
+        )
+    )
+    knobs = {"tile_m": 256, "tile_k": 16, "tile_n": 32, "num_patterns": 4}
+    return _simulator(knobs), workload, None
+
+
+def _layer_fields(layer) -> str:
+    """Every field of a layer result (stage records and energy included)."""
+    return repr(dataclasses.asdict(layer))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tasks=phi_batches())
+def test_simulate_phi_many_is_independent_of_batching(tasks):
+    """A mixed-configuration batch gives the per-task and per-layer results.
+
+    This is the reference for the lockstep batch: the same tasks run as
+    one ``simulate_phi_many`` call, as batches of one, and layer by layer
+    through ``simulate_layer`` must agree on every layer field and on the
+    run energy.
+    """
+    tasks = [*tasks, _all_ones_task()]
+    batch = simulator_module.simulate_phi_many(
+        [(sim, workload, calibration, None) for sim, workload, calibration in tasks]
+    )
+    assert len(batch) == len(tasks)
+    for (sim, workload, calibration), stacked in zip(tasks, batch):
+        alone = simulator_module.simulate_phi_many([(sim, workload, calibration, None)])[0]
+        per_layer = [
+            sim.simulate_layer(
+                layer,
+                layer_calibration=(
+                    calibration[layer.name] if calibration is not None else None
+                ),
+            )
+            for layer in workload
+        ]
+        expected = [_layer_fields(layer) for layer in stacked.layers]
+        assert [_layer_fields(layer) for layer in alone.layers] == expected
+        assert [_layer_fields(layer) for layer in per_layer] == expected
+        assert repr(alone.energy) == repr(stacked.energy)
+        assert repr(RunResult(layers=per_layer).energy) == repr(stacked.energy)
+
+
+# --------------------------------------------------------------------- #
+# Parallel followers read the store (--jobs 4)
 # --------------------------------------------------------------------- #
 
 
@@ -129,17 +268,9 @@ def shared_unit_points(num: int = 3) -> list[SweepPoint]:
     ]
 
 
-def _own_dev_shm_segments() -> list[str]:
-    """Names of /dev/shm segments exported by THIS process's engines."""
-    root = pathlib.Path("/dev/shm")
-    if not root.exists():  # pragma: no cover - non-Linux fallback
-        return []
-    return sorted(p.name for p in root.glob(f"*phiart-{os.getpid()}-*"))
-
-
 class TestSharedMemoryHandoff:
     def test_jobs4_matches_serial_and_leaks_no_segments(self, tmp_path):
-        """Follower records ride shared memory yet match the serial run."""
+        """Followers load the unit's artifacts from the store yet match serial."""
         points = shared_unit_points(3)
         with SweepEngine(
             cache=ResultCache(tmp_path / "serial"),
@@ -154,68 +285,4 @@ class TestSharedMemoryHandoff:
             jobs=4,
         ) as engine:
             parallel = engine.run(points)
-            # One unit with two followers: its calibration and its
-            # decomposition set were exported exactly once each.
-            assert len(engine._shared) == 2
         assert parallel == serial
-        assert len(engine._shared) == 0, "close() must unlink every segment"
-        assert _own_dev_shm_segments() == []
-
-    def test_export_attach_roundtrip_primes_the_memo(self, tmp_path):
-        """An attached segment serves the artifact without a disk read."""
-        point = shared_unit_points(1)[0]
-        store = ArtifactStore(tmp_path)
-        with SweepEngine(store=store, jobs=1) as engine:
-            engine.run([point])
-
-        shared = SharedArtifacts()
-        payload = engine_module._artifact_payload(point.workload, point.phi)
-        manifest = []
-        for kind in (KIND_CALIBRATION, KIND_DECOMPOSITION):
-            entry = shared.export(store, kind, store.key(kind, payload))
-            assert entry is not None
-            manifest.append(entry)
-        try:
-            # A fresh, empty store directory: only the primed memo can
-            # serve, so a successful get proves the shared pages did.
-            fresh = ArtifactStore(tmp_path / "empty")
-            assert attach_and_prime(fresh, manifest) == 2
-            assert set(live_segments()) >= {entry[2] for entry in manifest}
-            for kind, key, _name in manifest:
-                assert fresh.get(kind, key) is not None
-            assert fresh.hits == 2
-            assert fresh.misses == 0
-        finally:
-            shared.close()
-        assert len(shared) == 0
-
-    def test_export_returns_same_entry_per_key(self, tmp_path):
-        point = shared_unit_points(1)[0]
-        store = ArtifactStore(tmp_path)
-        with SweepEngine(store=store, jobs=1) as engine:
-            engine.run([point])
-        shared = SharedArtifacts()
-        payload = engine_module._artifact_payload(point.workload, point.phi)
-        key = store.key(KIND_CALIBRATION, payload)
-        try:
-            first = shared.export(store, KIND_CALIBRATION, key)
-            second = shared.export(store, KIND_CALIBRATION, key)
-            assert first is not None and first == second
-            assert len(shared) == 1
-        finally:
-            shared.close()
-
-    def test_attach_missing_segment_degrades_to_disk(self, tmp_path):
-        """A dead segment name is skipped; the store still serves it."""
-        store = ArtifactStore(tmp_path)
-        manifest = [(KIND_CALIBRATION, "00" * 32, "phiart-gone-segment")]
-        assert attach_and_prime(store, manifest) == 0
-        assert attach_and_prime(None, manifest) == 0
-        assert attach_and_prime(store, []) == 0
-
-    def test_export_unknown_key_returns_none(self, tmp_path):
-        shared = SharedArtifacts()
-        try:
-            assert shared.export(ArtifactStore(tmp_path), KIND_CALIBRATION, "ff" * 32) is None
-        finally:
-            shared.close()

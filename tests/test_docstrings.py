@@ -1,4 +1,4 @@
-"""Docstring enforcement for the public API (runner, report, registry).
+"""Docstring enforcement for the public API.
 
 A lightweight, dependency-free stand-in for ``pydocstyle``/``ruff``'s D
 rules (CI additionally runs ``ruff check --select D`` — see ruff.toml):
@@ -19,9 +19,19 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Files whose entire public surface must be documented.
 CHECKED_FILES = sorted(
-    list((SRC / "runner").glob("*.py"))
-    + list((SRC / "report").glob("*.py"))
-    + list((SRC / "service").glob("*.py"))
+    [
+        path
+        for package in (
+            "runner",
+            "report",
+            "service",
+            "hw",
+            "baselines",
+            "core",
+            "workloads",
+        )
+        for path in (SRC / package).glob("*.py")
+    ]
     + [SRC / "experiments" / "registry.py", SRC / "experiments" / "common.py"]
 )
 
