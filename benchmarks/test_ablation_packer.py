@@ -9,15 +9,17 @@ import numpy as np
 from conftest import run_once
 
 from repro.core import PhiCalibrator
+from repro.core.sparsity import decompose_tile
 from repro.experiments.common import get_workload
 from repro.experiments.fig8 import apply_paft_to_workload
 from repro.experiments.fig10 import element_density
-from repro.hw import ArchConfig, Preprocessor
+from repro.hw import ArchConfig, Packer
+from repro.hw.preprocessor import CompressedCounts
 
 
 def _pack_utilization(workload, scale, windows: int) -> float:
     arch = ArchConfig(packer_windows=windows)
-    preprocessor = Preprocessor(arch)
+    packer = Packer(arch)
     calibrator = PhiCalibrator(scale.phi_config())
     layer = max(workload, key=lambda l: l.m * l.k)
     calibration = calibrator.calibrate_layer(layer.name, layer.activations)
@@ -28,11 +30,22 @@ def _pack_utilization(workload, scale, windows: int) -> float:
         tile = layer.activations[: arch.tile_m, start:stop]
         if tile.shape[1] == 0:
             continue
-        result = preprocessor.process_tile(
-            tile, calibration.pattern_sets[p], needs_psum=p > 0
+        level2 = decompose_tile(tile, calibration.pattern_sets[p]).level2
+        nonzeros = np.count_nonzero(level2, axis=1)
+        kept = np.flatnonzero(nonzeros)
+        packed = packer.pack_counts(
+            CompressedCounts(
+                row_ids=kept,
+                row_nonzeros=nonzeros[kept],
+                needs_psum=p > 0,
+                cycles=len(level2),
+                filtered_rows=len(level2) - kept.size,
+            )
         )
-        if result.packer.packs:
-            utilizations.append(result.packer.average_utilization)
+        if packed.num_packs:
+            # Mean pack occupancy: every pack has pack_size unit slots.
+            slots = packed.num_packs * arch.pack_size
+            utilizations.append(packed.total_units / slots)
     return float(np.mean(utilizations)) if utilizations else 0.0
 
 

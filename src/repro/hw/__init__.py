@@ -14,7 +14,7 @@ from .energy import (
     PhiEnergyModel,
 )
 from .l1_processor import L1Processor, L1Result
-from .l2_processor import L2Processor, L2Result, ReconfigurableAdderTree
+from .l2_processor import L2Processor
 from .neuron_array import NeuronArrayResult, SpikingNeuronArray
 from .pipeline import (
     AcceleratorModel,
@@ -26,18 +26,7 @@ from .pipeline import (
     Stage,
     StageRecord,
 )
-from .preprocessor import (
-    LABEL_NONZERO,
-    LABEL_PSUM,
-    CompressedRow,
-    Compressor,
-    Pack,
-    Packer,
-    PackUnit,
-    PatternMatcher,
-    Preprocessor,
-    PreprocessorResult,
-)
+from .preprocessor import Packer
 from .simulator import PhiSimulator
 
 __all__ = [
@@ -56,21 +45,10 @@ __all__ = [
     "ACCUMULATE_ENERGY_PJ",
     "BUFFER_ENERGY_PER_BYTE_PJ",
     "DRAM_ENERGY_PER_BYTE_PJ",
-    "PatternMatcher",
-    "Compressor",
     "Packer",
-    "Preprocessor",
-    "PreprocessorResult",
-    "Pack",
-    "PackUnit",
-    "CompressedRow",
-    "LABEL_NONZERO",
-    "LABEL_PSUM",
     "L1Processor",
     "L1Result",
     "L2Processor",
-    "L2Result",
-    "ReconfigurableAdderTree",
     "SpikingNeuronArray",
     "NeuronArrayResult",
     "AcceleratorModel",

@@ -63,8 +63,8 @@ from .pipeline import (
 from .preprocessor import (
     EMPTY_PACK_COUNTS,
     CompressedCounts,
+    Packer,
     PackCounts,
-    Preprocessor,
     pack_counts_batch,
 )
 
@@ -136,9 +136,9 @@ def plan_preprocess(
     """Plan the preprocessor's compress/pack jobs for one layer.
 
     The per-(M tile, partition) compressed counts are sliced out of one
-    whole-partition nonzero-count pass, bit-identical to running
-    :meth:`~repro.hw.preprocessor.Compressor.compress_counts` on every
-    tile slice (the row ids of a slice are tile-local either way).
+    whole-partition nonzero-count pass, bit-identical to compressing
+    every tile slice on its own (the row ids of a slice are tile-local
+    either way).
     """
     boundaries = partition_boundaries(layer.k, arch.tile_k)
     m_tiles = [
@@ -459,7 +459,7 @@ class PhiSimulator(AcceleratorModel):
                 f"({self.phi_config.partition_size} != {self.arch.tile_k})"
             )
         self.energy_model = energy_model or PhiEnergyModel(self.arch)
-        self.preprocessor = Preprocessor(self.arch)
+        self.packer = Packer(self.arch)
         self.l1 = L1Processor(self.arch)
         self.l2 = L2Processor(self.arch)
         self.neuron_array = SpikingNeuronArray(self.arch)
@@ -689,7 +689,7 @@ def simulate_phi_many(
                 },
             )
             start = len(jobs)
-            packer = simulator.preprocessor.packer
+            packer = simulator.packer
             jobs.extend((packer, compressed) for compressed in plan.compressed)
             contexts.append((ctx, start, len(jobs)))
         prepared.append((simulator, result, contexts))

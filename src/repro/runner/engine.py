@@ -751,9 +751,8 @@ def _decomposition_record(point: SweepPoint) -> dict:
 def simulate_point(point: SweepPoint) -> dict:
     """Execute one sweep point from scratch and return its record.
 
-    This is the seam tests monkeypatch to observe or stub simulator
-    invocations.  A phi point runs as a batch of one through
-    :func:`_simulate_phi_batch`, the path :func:`simulate_many` stacks.
+    A phi point runs as a batch of one through :func:`_simulate_phi_batch`,
+    the path :func:`simulate_many` stacks.
     """
     if point.accelerator == "phi":
         return _simulate_phi_batch([point])[0]
@@ -765,10 +764,6 @@ def simulate_point(point: SweepPoint) -> dict:
         # resolves to the base workload.
         record = summarize_run(model_for(point).simulate(_resolve_workload(point)))
     return _finalize_record(point, record)
-
-
-#: The unpatched :func:`simulate_point`, for detecting a stubbed seam.
-_REAL_SIMULATE_POINT = simulate_point
 
 
 def _finalize_record(point: SweepPoint, record: dict) -> dict:
@@ -836,10 +831,10 @@ def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
     all of them (across every unit in the call) run through one
     :func:`repro.hw.simulator.simulate_phi_many` invocation whose
     lockstep packing spans points, layers and tiles, with records sliced
-    back out in input order, bit-identical to the per-point path.  When
-    the :func:`simulate_point` seam has been replaced (tests stub it to
-    observe or fake invocations), every point routes through the stub
-    instead — batching is an optimisation of the real path only.
+    back out in input order, bit-identical to the per-point path.  This
+    is the one seam between the engine and the simulators: every
+    dispatch site calls it, so tests stub it to observe or fake
+    simulations.
 
     Parameters
     ----------
@@ -854,7 +849,7 @@ def simulate_many(points: Sequence[SweepPoint]) -> list[dict]:
     records: list[dict | None] = [None] * len(points)
     phi_batch: list[int] = []
     for i, point in enumerate(points):
-        if point.accelerator == "phi" and simulate_point is _REAL_SIMULATE_POINT:
+        if point.accelerator == "phi":
             phi_batch.append(i)
         else:
             records[i] = simulate_point(point)
@@ -1039,9 +1034,10 @@ class SweepEngine:
         unless they opt in).
     jobs:
         Worker processes.  ``1`` executes inline in this process (no pool,
-        monkeypatch-friendly); higher values use a persistent process pool
-        that stays warm across :meth:`run` calls (close it with
-        :meth:`close` or by using the engine as a context manager).
+        so a stubbed :func:`simulate_many` is honoured); higher values use
+        a persistent process pool that stays warm across :meth:`run` calls
+        (close it with :meth:`close` or by using the engine as a context
+        manager).
     progress:
         Emit one ``[i/n]`` line per completed point to ``stderr``.
     store:

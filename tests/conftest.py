@@ -54,3 +54,22 @@ def vgg_calibration(vgg_workload, small_phi_config):
     """Calibrated patterns for the tiny VGG workload."""
     calibrator = PhiCalibrator(small_phi_config)
     return calibrator.calibrate_model(vgg_workload.activation_matrices())
+
+
+@pytest.fixture()
+def stub_simulate(monkeypatch):
+    """Route every engine simulation through ``fn(point)``, one point at a time.
+
+    Call it as ``stub_simulate(fn)``.  It patches
+    :func:`repro.runner.engine.simulate_many`, the one seam every
+    dispatch site of the engine calls.  Only ``jobs=1`` engines see the
+    stub; a process pool would run the real function.
+    """
+    from repro.runner import engine
+
+    def install(fn):
+        monkeypatch.setattr(
+            engine, "simulate_many", lambda points: [fn(p) for p in points]
+        )
+
+    return install

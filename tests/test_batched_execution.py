@@ -18,12 +18,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.l2_processor import L2Processor
 from repro.core import PhiCalibrator, PhiConfig
 from repro.experiments.common import TINY
 from repro.hw import PhiSimulator
 from repro.hw import simulator as simulator_module
 from repro.hw.config import ArchConfig
-from repro.hw.l2_processor import L2Processor
 from repro.hw.pipeline import RunResult
 from repro.hw.preprocessor import PackCounts
 from repro.runner import (

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -39,22 +41,6 @@ def test_design_scale_table_is_generated_from_code():
     )
 
 
-def test_readme_perf_table_is_generated_from_trajectory():
-    """The README perf table must match perf_markdown_table() exactly."""
-    from repro.bench.cli import perf_markdown_table
-
-    text = (ROOT / "README.md").read_text()
-    begin = text.index("<!-- perf-table:begin -->")
-    end = text.index("<!-- perf-table:end -->")
-    embedded = text[begin:end].splitlines()[1:]
-    embedded = "\n".join(line for line in embedded if line.strip())
-    assert embedded == perf_markdown_table(ROOT / "BENCH_sweep.json"), (
-        "README perf table out of date; paste the output of "
-        "repro.bench.cli.perf_markdown_table('BENCH_sweep.json') between "
-        "the perf-table markers"
-    )
-
-
 def test_readme_covers_every_registered_experiment():
     text = (ROOT / "README.md").read_text()
     for name in experiment_names():
@@ -65,3 +51,24 @@ def test_readme_documents_the_cli():
     text = (ROOT / "README.md").read_text()
     for command in ("python -m repro.report", "python -m repro.runner", "pip install -e ."):
         assert command in text
+
+
+def _runnable(name: str) -> bool:
+    """Whether ``python -m <name>`` would find something to run."""
+    try:
+        spec = importlib.util.find_spec(name)
+        if spec is None or spec.submodule_search_locations is None:
+            return spec is not None  # a plain module runs itself
+        return importlib.util.find_spec(f"{name}.__main__") is not None
+    except ModuleNotFoundError:
+        return False
+
+
+def test_documented_module_commands_exist():
+    """Every ``python -m repro.<pkg>`` a doc advertises must be runnable."""
+    commands = set()
+    for path in DOCS:
+        commands.update(re.findall(r"python3? -m (repro(?:\.\w+)+)", path.read_text()))
+    assert "repro.runner" in commands
+    missing = [name for name in sorted(commands) if not _runnable(name)]
+    assert missing == [], f"docs advertise missing python -m targets: {missing}"

@@ -383,16 +383,14 @@ class TestFleetCoordinator:
 
 
 class TestEngineDispatcherHook:
-    def test_remote_records_settle_like_local_ones(self, tmp_path, monkeypatch):
+    def test_remote_records_settle_like_local_ones(self, tmp_path, stub_simulate):
         simulated: list[str] = []
 
         def fake_simulate(point):
             simulated.append(point.cache_key())
             return {"schema": 3, "key": point.cache_key()}
 
-        import repro.runner.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "simulate_point", fake_simulate)
+        stub_simulate(fake_simulate)
         points = [tiny_point(), tiny_point(phi=TINY.phi_config(num_patterns=8))]
         remote_key = points[0].cache_key()
         remote_record = {"schema": 3, "key": remote_key, "remote": True}
@@ -411,14 +409,8 @@ class TestEngineDispatcherHook:
         assert engine.stats.executed == 2  # remote counts as executed
         assert cache.get(remote_key) == remote_record
 
-    def test_raising_dispatcher_is_ignored(self, monkeypatch):
-        import repro.runner.engine as engine_module
-
-        monkeypatch.setattr(
-            engine_module,
-            "simulate_point",
-            lambda point: {"schema": 3, "key": point.cache_key()},
-        )
+    def test_raising_dispatcher_is_ignored(self, stub_simulate):
+        stub_simulate(lambda point: {"schema": 3, "key": point.cache_key()})
 
         class BrokenDispatcher:
             def dispatch(self, reps):

@@ -4,24 +4,29 @@ energy model, preprocessor, L1/L2 processors and the neuron array)."""
 import numpy as np
 import pytest
 
+from reference.l2_processor import L2Processor, ReconfigurableAdderTree
+from reference.preprocessor import (
+    LABEL_NONZERO,
+    LABEL_PSUM,
+    CompressedRow,
+    Compressor,
+    Pack,
+    Packer,
+    PackUnit,
+    PatternMatcher,
+    Preprocessor,
+)
 from repro.core.patterns import PatternSet
 from repro.hw import (
     ArchConfig,
     Buffer,
     BufferSet,
     BufferSizes,
-    Compressor,
     DRAMModel,
     L1Processor,
-    L2Processor,
-    Packer,
-    PatternMatcher,
     PhiEnergyModel,
-    Preprocessor,
-    ReconfigurableAdderTree,
     SpikingNeuronArray,
 )
-from repro.hw.preprocessor import LABEL_NONZERO, LABEL_PSUM, CompressedRow, Pack, PackUnit
 
 
 @pytest.fixture

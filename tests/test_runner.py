@@ -92,15 +92,15 @@ class TestSweepPoint:
 
 class TestSweepEngineCaching:
     @pytest.fixture()
-    def counted_simulate(self, monkeypatch):
-        """Stub ``simulate_point`` with an invocation counter."""
+    def counted_simulate(self, stub_simulate):
+        """Stub the engine's simulations with a per-point invocation counter."""
         calls: list[SweepPoint] = []
 
         def fake_simulate(point: SweepPoint) -> dict:
             calls.append(point)
             return {"total_cycles": 123.0, "key": point.cache_key()}
 
-        monkeypatch.setattr(engine_module, "simulate_point", fake_simulate)
+        stub_simulate(fake_simulate)
         return calls
 
     def test_second_run_hits_cache_with_zero_invocations(
@@ -247,7 +247,7 @@ class TestRecordSchemaV3:
         problems = engine_module.validate_record({"accelerator": "phi", "schema": 2})
         assert problems == ["schema is 2, expected 3"]
 
-    def test_v2_entries_are_ignored_not_crashed_on(self, tmp_path, monkeypatch):
+    def test_v2_entries_are_ignored_not_crashed_on(self, tmp_path, stub_simulate):
         """A cache dir with pre-v3 entries stays usable: old records are
         dead keys, never hits, and validate-cache counts them as legacy."""
         from repro.runner.cli import main
@@ -269,7 +269,7 @@ class TestRecordSchemaV3:
             # the v2 record this test actually plants.
             return {"x": 1}
 
-        monkeypatch.setattr(engine_module, "simulate_point", fake_simulate)
+        stub_simulate(fake_simulate)
         engine = SweepEngine(cache=ResultCache(tmp_path), jobs=1)
         engine.run_one(tiny_point(accelerator="eyeriss", phi=None))
         assert len(calls) == 1, "stale v2 entry must not satisfy a v3 key"
@@ -303,7 +303,7 @@ class TestEngineReentrancy:
     """run() shared by concurrent threads: exactly-once, thread-local hooks."""
 
     def test_concurrent_runs_simulate_each_point_exactly_once(
-        self, tmp_path, monkeypatch
+        self, tmp_path, stub_simulate
     ):
         calls: list[str] = []
         lock = threading.Lock()
@@ -314,7 +314,7 @@ class TestEngineReentrancy:
             time.sleep(0.2)  # hold the point in flight so runs overlap
             return {"schema": 3, "key": point.cache_key()}
 
-        monkeypatch.setattr(engine_module, "simulate_point", slow_simulate)
+        stub_simulate(slow_simulate)
         engine = SweepEngine(cache=ResultCache(tmp_path), jobs=1)
         points = [
             tiny_point(),
@@ -342,7 +342,7 @@ class TestEngineReentrancy:
         assert stats.cache_hits + stats.inflight_hits == (runners - 1) * len(points)
         assert engine._inflight == {}, "in-flight table must drain"
 
-    def test_failed_owner_does_not_strand_waiters(self, tmp_path, monkeypatch):
+    def test_failed_owner_does_not_strand_waiters(self, tmp_path, stub_simulate):
         attempts: list[str] = []
         lock = threading.Lock()
         fail_first = threading.Event()
@@ -356,7 +356,7 @@ class TestEngineReentrancy:
                 raise RuntimeError("synthetic worker death")
             return {"schema": 3, "key": point.cache_key()}
 
-        monkeypatch.setattr(engine_module, "simulate_point", flaky_simulate)
+        stub_simulate(flaky_simulate)
         engine = SweepEngine(cache=ResultCache(tmp_path), jobs=1)
         point = tiny_point()
         barrier = threading.Barrier(2)
@@ -383,7 +383,7 @@ class TestEngineReentrancy:
         assert engine._inflight == {}
 
     def test_dead_owner_without_cache_makes_waiters_recompute(
-        self, monkeypatch
+        self, stub_simulate
     ):
         """Cacheless dead-owner fallback: every waiter recomputes.
 
@@ -407,7 +407,7 @@ class TestEngineReentrancy:
                 raise RuntimeError("synthetic owner death")
             return {"schema": 3, "key": point.cache_key()}
 
-        monkeypatch.setattr(engine_module, "simulate_point", flaky_simulate)
+        stub_simulate(flaky_simulate)
         engine = SweepEngine(jobs=1)  # no result cache
         point = tiny_point()
         runners = 3
@@ -438,7 +438,7 @@ class TestEngineReentrancy:
         assert engine.stats.cache_hits == 0
         assert engine._inflight == {}, "in-flight table must drain"
 
-    def test_inflight_wait_counts_hit_even_without_cache(self, monkeypatch):
+    def test_inflight_wait_counts_hit_even_without_cache(self, stub_simulate):
         calls: list[str] = []
         lock = threading.Lock()
 
@@ -448,7 +448,7 @@ class TestEngineReentrancy:
             time.sleep(0.2)
             return {"schema": 3, "key": point.cache_key()}
 
-        monkeypatch.setattr(engine_module, "simulate_point", slow_simulate)
+        stub_simulate(slow_simulate)
         engine = SweepEngine(jobs=1)  # no result cache
         point = tiny_point()
         barrier = threading.Barrier(2)
@@ -470,12 +470,8 @@ class TestEngineReentrancy:
         assert engine.stats.inflight_hits == 1
         assert engine._inflight == {}
 
-    def test_progress_scope_hooks_are_thread_local(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            engine_module,
-            "simulate_point",
-            lambda point: {"schema": 3, "key": point.cache_key()},
-        )
+    def test_progress_scope_hooks_are_thread_local(self, tmp_path, stub_simulate):
+        stub_simulate(lambda point: {"schema": 3, "key": point.cache_key()})
         engine = SweepEngine(cache=ResultCache(tmp_path), jobs=1)
         grids = {
             "a": [tiny_point()],

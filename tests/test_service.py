@@ -5,7 +5,7 @@ The suite locks down the guarantees DESIGN.md's service section makes:
 * N clients hammering one served engine with overlapping fig7-TINY jobs
   get byte-identical v3 records versus a plain serial run, while every
   ``(spec, config)`` unit is simulated exactly once (asserted by
-  counting real ``simulate_point`` invocations).
+  counting the points the engine simulates).
 * No client ever observes a torn JSON response, even while progress
   counts stream mid-job.
 * Request round-tripping is lossless (property-tested) and unknown
@@ -88,7 +88,7 @@ class TestConcurrentClients:
     """The headline suite: overlapping fig7-TINY jobs on one engine."""
 
     def test_overlapping_fig7_jobs_run_each_unit_once_and_match_serial(
-        self, tmp_path, monkeypatch
+        self, tmp_path, stub_simulate
     ):
         calls: list[str] = []
         lock = threading.Lock()
@@ -99,7 +99,7 @@ class TestConcurrentClients:
                 calls.append(point.cache_key())
             return real_simulate(point)
 
-        monkeypatch.setattr(engine_module, "simulate_point", counting_simulate)
+        stub_simulate(counting_simulate)
 
         clients = 4
         with served(tmp_path, workers=3) as (client, service, server):
@@ -160,7 +160,7 @@ class TestConcurrentClients:
             # The served job covered the full fig7 grid, not a subset.
             assert set(record_sets[0]) == set(serial_records)
 
-    def test_resubmitting_finished_job_serves_from_cache(self, tmp_path, monkeypatch):
+    def test_resubmitting_finished_job_serves_from_cache(self, tmp_path, stub_simulate):
         calls = []
         real_simulate = engine_module.simulate_point
 
@@ -168,7 +168,7 @@ class TestConcurrentClients:
             calls.append(point)
             return real_simulate(point)
 
-        monkeypatch.setattr(engine_module, "simulate_point", counting_simulate)
+        stub_simulate(counting_simulate)
         with served(tmp_path) as (client, service, server):
             first = client.run("fig12", scale="tiny", timeout=600)
             executed = len(calls)

@@ -271,12 +271,12 @@ class TestStoreFull:
 
 class TestDedupUnderRetry:
     def test_connection_reset_after_accepted_submit_never_runs_twice(
-        self, tmp_path, monkeypatch
+        self, tmp_path, stub_simulate
     ):
         """The POST /jobs retry contract: a submission whose *response*
         is lost lands on the same job when replayed, because the service
         deduplicates identical in-flight requests — asserted the hard
-        way, by counting real ``simulate_point`` calls."""
+        way, by counting the points the engine simulates."""
         calls: list[str] = []
         lock = threading.Lock()
         real_simulate = engine_module.simulate_point
@@ -286,7 +286,7 @@ class TestDedupUnderRetry:
                 calls.append(point.cache_key())
             return real_simulate(point)
 
-        monkeypatch.setattr(engine_module, "simulate_point", counting_simulate)
+        stub_simulate(counting_simulate)
 
         class FlakyClient(ServiceClient):
             """Drops the connection after the first POST /jobs commits."""

@@ -311,41 +311,6 @@ class TestParallelDeterminism:
         ]
 
 
-class TestBenchTrajectory:
-    def test_append_and_check(self, tmp_path):
-        from repro.bench import BenchResult, append_results, check_against_baseline
-
-        result = BenchResult(
-            schema=1,
-            timestamp="2026-07-30T00:00:00+00:00",
-            experiment="fig7",
-            scale="tiny",
-            scenario="serial_cold",
-            jobs=1,
-            wall_seconds=1.0,
-            sweep_seconds=0.8,
-            points=16,
-            cache_hits=1,
-            executed=15,
-            code_version="1.0.0",
-            python="3.11",
-            cpu_count=1,
-        )
-        output = tmp_path / "BENCH_sweep.json"
-        append_results([result], output)
-        append_results([result], output)
-        entries = json.loads(output.read_text())
-        assert len(entries) == 2
-        assert entries[0]["scenario"] == "serial_cold"
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"fig7/tiny/serial_cold": 1.0}))
-        assert check_against_baseline([result], baseline) == []
-        slow = BenchResult(**{**entries[0], "wall_seconds": 2.5})
-        failures = check_against_baseline([slow], baseline)
-        assert len(failures) == 1 and "serial_cold" in failures[0]
-
-
 class TestStoreFailurePaths:
     """PR-4 failure semantics made explicit: the store is an accelerator,
     never a correctness dependency — corruption, clears and unwritable
