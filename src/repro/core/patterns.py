@@ -109,7 +109,6 @@ class PatternSet:
 
     def __init__(self, patterns: np.ndarray) -> None:
         self._matrix = _validate_binary(patterns, "patterns")
-        self._match_operands: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -176,40 +175,6 @@ class PatternSet:
         products = self._matrix.astype(np.float64) @ weight_tile
         zero_row = np.zeros((1, weight_tile.shape[1]), dtype=np.float64)
         return np.vstack([zero_row, products])
-
-    def match_counts(self, rows: np.ndarray) -> np.ndarray:
-        """Hamming distance of each row against each pattern.
-
-        Parameters
-        ----------
-        rows:
-            Binary matrix of shape ``(m, k)``.
-
-        Returns
-        -------
-        numpy.ndarray
-            Integer matrix of shape ``(m, q)`` where entry ``(i, j)`` is the
-            Hamming distance between row ``i`` and pattern ``j + 1``.
-        """
-        rows = _validate_binary(rows, "rows")
-        if rows.shape[1] != self.width:
-            raise ValueError(
-                f"rows width {rows.shape[1]} does not match pattern width "
-                f"{self.width}"
-            )
-        # For binary vectors the Hamming distance has an exact dot-product
-        # form, H(x, p) = |x| + |p| - 2 x.p, which runs as one BLAS GEMM
-        # instead of materialising the (m, q, k) broadcast tensor.  All
-        # intermediates are small integers (bounded by the pattern width),
-        # exactly representable in float64, so the result is exact.
-        if self._match_operands is None:
-            patterns_f = self._matrix.astype(np.float64)
-            self._match_operands = (patterns_f, patterns_f.sum(axis=1, keepdims=True).T)
-        patterns_f, pattern_pop = self._match_operands
-        rows_f = rows.astype(np.float64)
-        overlap = rows_f @ patterns_f.T
-        row_pop = rows_f.sum(axis=1, keepdims=True)
-        return (row_pop + pattern_pop - 2 * overlap).astype(np.int64)
 
     def memory_bits(self) -> int:
         """Storage cost of the pattern set itself in bits."""

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .kmeans import deduplicate_rows, nearest_centers, pack_rows
 from .patterns import NO_PATTERN, PatternSet, is_binary_matrix
 
 
@@ -171,37 +172,35 @@ def decompose_tile(tile: np.ndarray, patterns: PatternSet) -> TileDecomposition:
             f"tile width {tile.shape[1]} does not match pattern width {patterns.width}"
         )
 
-    num_rows = tile.shape[0]
-    pattern_indices = np.zeros(num_rows, dtype=np.int32)
-    level2 = np.zeros(tile.shape, dtype=np.int8)
-
-    if num_rows == 0:
-        return TileDecomposition(pattern_indices, level2, patterns, tile)
-
-    distances = patterns.match_counts(tile)  # (M, q) Hamming distances
-    best_pattern = distances.argmin(axis=1)  # 0-based
-    best_distance = distances[np.arange(num_rows), best_pattern]
-    popcounts = tile.sum(axis=1).astype(np.int64)
+    # Rows decompose independently, so each distinct row is matched once
+    # and the results are gathered back to every occurrence.
+    unique = deduplicate_rows(tile)
+    best_pattern, best_distance = nearest_centers(unique.words, pack_rows(patterns.matrix))
+    popcounts = unique.rows.sum(axis=1)
 
     # Assign a pattern only when it strictly reduces the number of runtime
     # corrections compared to the plain bit-sparse row.
-    use_pattern = best_distance < popcounts
-
-    pattern_indices[use_pattern] = best_pattern[use_pattern].astype(np.int32) + 1
-
-    pattern_matrix = patterns.matrix.astype(np.int16)
-    assigned = pattern_matrix[best_pattern[use_pattern]]
-    level2_assigned = tile[use_pattern].astype(np.int16) - assigned
-    level2[use_pattern] = level2_assigned.astype(np.int8)
-    # Rows without a pattern fall back to their original bit-sparse form.
-    level2[~use_pattern] = tile[~use_pattern].astype(np.int8)
-
+    indices = np.where(best_distance < popcounts, best_pattern + 1, NO_PATTERN)
+    indices = indices.astype(np.int32)
+    level2 = _level2(unique.rows, patterns, indices)
     return TileDecomposition(
-        pattern_indices=pattern_indices,
-        level2=level2,
+        pattern_indices=indices[unique.inverse],
+        level2=level2[unique.inverse],
         patterns=patterns,
         original=tile,
     )
+
+
+def _level2(tile: np.ndarray, patterns: PatternSet, indices: np.ndarray) -> np.ndarray:
+    """The Level 2 corrections of ``tile`` under the given pattern indices.
+
+    One gather instead of boolean-masked scatters: row 0 of the padded
+    pattern table is all-zero, so unassigned rows (``NO_PATTERN`` == 0)
+    subtract nothing and keep their bit-sparse form.
+    """
+    padded = np.zeros((patterns.matrix.shape[0] + 1, tile.shape[1]), dtype=np.int16)
+    padded[1:] = patterns.matrix
+    return (tile.astype(np.int16) - padded[indices]).astype(np.int8)
 
 
 def rebuild_tile(
@@ -223,13 +222,7 @@ def rebuild_tile(
         raise ValueError(
             f"pattern_indices must have shape ({tile.shape[0]},), got {indices.shape}"
         )
-    # One gather instead of boolean-masked scatters: row 0 of the padded
-    # pattern table is all-zero, so unassigned rows (``NO_PATTERN`` == 0)
-    # subtract nothing and keep their bit-sparse form — bit-exact with
-    # the per-mask formulation, at a fraction of its indexing cost.
-    padded = np.zeros((patterns.matrix.shape[0] + 1, tile.shape[1]), dtype=np.int16)
-    padded[1:] = patterns.matrix
-    level2 = (tile.astype(np.int16) - padded[indices]).astype(np.int8)
+    level2 = _level2(tile, patterns, indices)
     return TileDecomposition(
         pattern_indices=indices, level2=level2, patterns=patterns, original=tile
     )

@@ -7,6 +7,7 @@ from repro.core.config import KMeansConfig
 from repro.core.kmeans import (
     binary_kmeans,
     cluster_partition,
+    deduplicate_rows,
     filter_calibration_rows,
     hamming_distance_matrix,
     unique_binary_rows,
@@ -38,6 +39,26 @@ class TestHammingDistanceMatrix:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             hamming_distance_matrix(np.zeros(3), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "rows, centers",
+        [
+            ([[2, 0]], [[0, 0]]),
+            ([[0.6, 1]], [[1, 1]]),
+            ([[0, 1]], [[1, -1]]),
+        ],
+    )
+    def test_rejects_non_binary(self, rows, centers):
+        with pytest.raises(ValueError, match="0/1"):
+            hamming_distance_matrix(np.array(rows), np.array(centers))
+
+    def test_wide_rows_sum_over_words(self, rng):
+        # 130 bits pack into three 64-bit words.
+        rows = (rng.random((30, 130)) < 0.5).astype(np.uint8)
+        centers = (rng.random((5, 130)) < 0.5).astype(np.uint8)
+        brute = (rows[:, None, :] != centers[None, :, :]).sum(axis=2)
+        assert np.array_equal(hamming_distance_matrix(rows, centers), brute)
+        assert hamming_distance_matrix(np.ones((1, 130)), np.zeros((1, 130)))[0, 0] == 130
 
 
 class TestFilterCalibrationRows:
@@ -106,6 +127,29 @@ class TestBinaryKmeans:
         result = binary_kmeans(binary_matrix, 4)
         assert result.pattern_set.num_patterns == 4
 
+    def test_rejects_non_binary(self):
+        with pytest.raises(ValueError, match="0/1"):
+            binary_kmeans(np.array([[3, 0], [0, 5]]), 1)
+        with pytest.raises(ValueError, match="0/1"):
+            cluster_partition(np.array([[0.6, 1.0, 1.0]]), 1)
+
+    def test_drop_keeps_empty_cluster_stale(self):
+        # One distinct row but two clusters: the second centre is a random
+        # padding row that never wins a member.  "drop" leaves it as it
+        # was initialised, "reseed" replaces it with the farthest row.
+        rows = np.ones((10, 8), dtype=np.uint8)
+        seed = 3
+        stale = (np.random.default_rng(seed).random((1, 8)) < 0.5).astype(np.uint8)[0]
+        assert not stale.all()
+
+        dropped = binary_kmeans(rows, 2, KMeansConfig(seed=seed, empty_cluster_strategy="drop"))
+        np.testing.assert_array_equal(dropped.centers[1], stale)
+        assert np.all(dropped.assignments == 0)
+        assert dropped.inertia == 0
+
+        reseeded = binary_kmeans(rows, 2, KMeansConfig(seed=seed))
+        np.testing.assert_array_equal(reseeded.centers[1], rows[0])
+
 
 class TestClusterPartition:
     def test_returns_pattern_set(self, binary_matrix):
@@ -158,7 +202,7 @@ class TestUniqueBinaryRows:
         rng = np.random.default_rng(0)
         rows = (rng.random((120, 12)) < 0.5).astype(np.uint8)
         plain = binary_kmeans(rows, 8)
-        seeded = binary_kmeans(rows, 8, unique_rows=unique_binary_rows(rows))
+        seeded = binary_kmeans(rows, 8, unique_rows=deduplicate_rows(rows))
         np.testing.assert_array_equal(plain.centers, seeded.centers)
         np.testing.assert_array_equal(plain.assignments, seeded.assignments)
         assert plain.inertia == seeded.inertia

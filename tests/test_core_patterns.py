@@ -82,17 +82,6 @@ class TestPatternSet:
         with pytest.raises(ValueError):
             pattern_set.compute_pwps(np.zeros((3, 2)))
 
-    def test_match_counts(self, pattern_set):
-        rows = np.array([[1, 0, 1, 0], [0, 0, 0, 0]], dtype=np.uint8)
-        counts = pattern_set.match_counts(rows)
-        assert counts.shape == (2, 3)
-        assert counts[0, 0] == 0  # identical to pattern 1
-        assert counts[1, 2] == 4  # all-zero row vs all-ones pattern
-
-    def test_match_counts_width_mismatch(self, pattern_set):
-        with pytest.raises(ValueError):
-            pattern_set.match_counts(np.zeros((2, 5), dtype=np.uint8))
-
     def test_memory_bits(self, pattern_set):
         assert pattern_set.memory_bits() == 12
 
